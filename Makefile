@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck check chaos bench bench-json load
+.PHONY: build test race vet fmt-check staticcheck perfbench check chaos bench bench-json load
 
 build:
 	$(GO) build ./...
@@ -33,9 +33,16 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI enforces it)"; \
 	fi
 
-# check is the CI gate: formatting, static analysis, and the full test
-# suite under the race detector.
-check: fmt-check vet staticcheck race
+# perfbench vets and tests the benchmark module. It is a Go module of its
+# own (replace resacc => ../), so the root `go test ./...` never compiles
+# it: without this step a change that drops a public name the benchmark
+# uses passes the gate and only breaks the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# check is the CI gate: formatting, static analysis, the full test suite
+# under the race detector, and the benchmark module.
+check: fmt-check vet staticcheck race perfbench
 
 # chaos compiles the fault-injection points in (build tag "faultinject")
 # and runs the whole suite — including the phase-targeted deadline and

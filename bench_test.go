@@ -12,9 +12,7 @@
 package resacc
 
 import (
-	"fmt"
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -213,47 +211,31 @@ func BenchmarkQueryPooledRepeatAlias(b *testing.B) {
 	}
 }
 
-// BenchmarkPushParallel measures the round-synchronous parallel push drain
-// against the sequential one on a ~1M-edge RMAT graph, isolating the push
-// phase (no remedy walks, no updating phase). workers=1 is the classic
-// sequential drain; higher counts engage the frontier engine from the
-// first push. Expect 0 B/op after warm-up at every worker count — the
-// engine, accumulators and frontier buffers are all pooled. Wall-clock
-// speedup requires real cores: on a single-CPU machine the parallel
-// variants only measure round overhead.
-func BenchmarkPushParallel(b *testing.B) {
+// BenchmarkPushRMAT17 measures the sequential queue drain alone on a
+// ~1M-edge RMAT graph, isolating the push phase (no remedy walks, no
+// updating phase, dense sweep off). Expect 0 B/op after warm-up: the State
+// borrows every buffer from the workspace.
+func BenchmarkPushRMAT17(b *testing.B) {
 	g := gen.RMAT(17, 9, 7) // 131k nodes, ~1.12M edges after dedup
 	p := algo.DefaultParams(g)
 	const src = 1
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if workers > runtime.GOMAXPROCS(0) {
-				// Without the cores the measurement is pure round overhead —
-				// noise that would trip the ns/op regression gate. The skip
-				// is visible in the -bench output, so a multi-core run still
-				// reports every worker count.
-				b.Skipf("workers=%d > GOMAXPROCS=%d: no cores to measure scaling on", workers, runtime.GOMAXPROCS(0))
-			}
-			cfg := forward.PushConfig{Workers: workers, EngageMass: 1}
-			w := ws.New(g.N())
-			run := func() {
-				w.Reset(g.N())
-				w.SetResidue(src, 1)
-				var st forward.State
-				st.Reserve, st.Residue = w.Reserve, w.Residue
-				st.Track = &w.Dirty
-				st.UseScratch(&w.InQueue, w.Queue)
-				w.Seeds = append(w.Seeds[:0], src)
-				forward.RunFromPar(g, p.Alpha, p.RMaxF, &st, w.Seeds, false, nil, cfg)
-				w.Queue = st.TakeQueue()
-			}
-			run() // warm up pools and workspace capacity
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
+	w := ws.New(g.N())
+	run := func() {
+		w.Reset(g.N())
+		w.SetResidue(src, 1)
+		var st forward.State
+		st.Reserve, st.Residue = w.Reserve, w.Residue
+		st.Track = &w.Dirty
+		st.UseScratch(&w.InQueue, w.Queue)
+		w.Seeds = append(w.Seeds[:0], src)
+		forward.RunFromCtx(g, p.Alpha, p.RMaxF, &st, w.Seeds, false, nil, 0)
+		w.Queue = st.TakeQueue()
+	}
+	run() // warm up workspace capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

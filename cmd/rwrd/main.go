@@ -67,9 +67,8 @@ func main() {
 
 		workers    = flag.Int("workers", 0, "engine computation concurrency (0 = GOMAXPROCS)")
 		walkWkrs   = flag.Int("walk-workers", 0, "per-query remedy walk concurrency, clamped to GOMAXPROCS/workers (0 = that quotient)")
-		pushWkrs   = flag.Int("push-workers", 0, "per-query parallel push-phase workers, clamped to GOMAXPROCS/workers (0 = sequential push)")
 		relabel    = flag.Bool("relabel", false, "renumber each served snapshot in decreasing-degree order for cache locality (node ids on the wire stay original)")
-		denseSw    = flag.Float64("dense-switch", 0, "dense-sweep switchover as a fraction of |E| for sequential push (0 = default 1/8, negative disables)")
+		denseSw    = flag.Float64("dense-switch", 0, "dense-sweep switchover as a fraction of |E| for push (0 = default 1/8, negative disables)")
 		aliasWalks = flag.Bool("alias-walks", false, "sample remedy walks through a per-snapshot alias table (one RNG draw per step)")
 		queueDepth = flag.Int("queue-depth", 0, "engine wait-queue depth before shedding (0 = 4x workers)")
 		cacheMB    = flag.Int64("cache-mb", 64, "result-cache capacity in MiB")
@@ -121,7 +120,6 @@ func main() {
 		Engine: resacc.EngineOptions{
 			Workers:        *workers,
 			WalkWorkers:    *walkWkrs,
-			PushWorkers:    *pushWkrs,
 			Relabel:        *relabel,
 			DenseSwitch:    *denseSw,
 			AliasWalks:     *aliasWalks,

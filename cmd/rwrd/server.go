@@ -96,8 +96,6 @@ type server struct {
 	// engine otherwise keeps allocation-free.
 	phaseHist     map[string]*obs.Histogram
 	degradedBound *obs.Histogram
-	pushRounds    map[string]*obs.Counter
-	frontierHist  *obs.Histogram
 	queriesByStat map[string]*obs.Counter
 	reqCancels    map[string]*obs.Counter
 	queryCancels  map[string]*obs.Counter
@@ -226,15 +224,6 @@ func (s *server) registerMetrics() {
 	s.degradedBound = s.reg.Histogram("rwr_degraded_bound",
 		"Additive error bound of degraded (deadline-truncated) answers.",
 		obs.ExpBuckets(1e-6, 10, 8))
-	s.pushRounds = make(map[string]*obs.Counter)
-	for _, phase := range []string{"hhopfwd", "omfwd"} {
-		s.pushRounds[phase] = s.reg.Counter("rwr_push_rounds_total",
-			"Rounds executed by the frontier-parallel push engine, by phase (zero while push runs sequentially).",
-			"phase", phase)
-	}
-	s.frontierHist = s.reg.Histogram("rwr_push_frontier_size",
-		"Largest frontier snapshot per query in the parallel push engine (queries that engaged it only).",
-		obs.ExpBuckets(1, 4, 12))
 	if s.quota != nil {
 		s.reg.CounterFunc("rwr_edit_quota_rejected_total",
 			"Edit batches refused because the client's token bucket was empty.",
@@ -284,15 +273,6 @@ func (s *server) observeQuery(ev resacc.QueryEvent) {
 		s.walksHist.Observe(float64(ev.Stats.Walks))
 		if ev.Stats.ReusedWalks > 0 {
 			s.hotReused.Observe(float64(ev.Stats.ReusedWalks))
-		}
-		if ev.Stats.HopRounds > 0 {
-			s.pushRounds["hhopfwd"].Add(float64(ev.Stats.HopRounds))
-		}
-		if ev.Stats.OMFWDRounds > 0 {
-			s.pushRounds["omfwd"].Add(float64(ev.Stats.OMFWDRounds))
-		}
-		if ev.Stats.MaxFrontier > 0 {
-			s.frontierHist.Observe(float64(ev.Stats.MaxFrontier))
 		}
 		if ev.Stats.Degraded {
 			if c := s.queryCancels[ev.Stats.DegradedPhase.String()]; c != nil {

@@ -74,7 +74,8 @@ func runLoad(ctx context.Context, cfg loadConfig) (*report, error) {
 				}
 				if err != nil {
 					if ctx.Err() != nil {
-						return // cancelled mid-request, don't count it
+						rep.recordAbandoned()
+						return
 					}
 					status = -1
 				}
@@ -95,8 +96,9 @@ func runLoad(ctx context.Context, cfg loadConfig) (*report, error) {
 // up to cfg.retries times when the server asks for backoff (429/503). Each
 // retry waits an exponentially growing, jittered delay, raised to the
 // server's Retry-After when it names a longer one, and aborts early when
-// ctx expires. The final status is what gets recorded; retries are counted
-// separately in the report.
+// ctx expires, returning ctx's error: a request the end of the run cuts
+// short has no outcome. Otherwise the final status is what gets recorded;
+// retries are counted separately in the report.
 func (cfg *loadConfig) fireRetry(ctx context.Context, src *sampler, jit *rand.Rand, rep *report) (int, error) {
 	method, url, body, err := cfg.buildReq(src)
 	if err != nil {
@@ -107,7 +109,7 @@ func (cfg *loadConfig) fireRetry(ctx context.Context, src *sampler, jit *rand.Ra
 		select {
 		case <-time.After(cfg.retryDelay(attempt, retryAfter, jit)):
 		case <-ctx.Done():
-			return status, nil // run is over; record the last answer we got
+			return 0, ctx.Err()
 		}
 		rep.retries.Add(1)
 		status, retryAfter, err = cfg.send(ctx, method, url, body)
@@ -161,7 +163,7 @@ func (cfg *loadConfig) fireWrite(ctx context.Context, es *editState, jit *rand.R
 		select {
 		case <-time.After(cfg.retryDelay(attempt, retryAfter, jit)):
 		case <-ctx.Done():
-			return status, nil
+			return 0, ctx.Err()
 		}
 		rep.retries.Add(1)
 		status, retryAfter, err = cfg.send(ctx, http.MethodPost, cfg.base+"/v1/edges", body)

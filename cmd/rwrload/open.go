@@ -103,7 +103,8 @@ func runOpenLoad(ctx context.Context, cfg openConfig) (*report, error) {
 			status, _, err := cfg.send(ctx, method, url, body)
 			if err != nil {
 				if ctx.Err() != nil {
-					return // run is over; an aborted request is not an outcome
+					rep.recordAbandoned()
+					return
 				}
 				status = -1
 			}

@@ -20,8 +20,12 @@ type report struct {
 	shed     atomic.Uint64 // HTTP 429 (admission control)
 	errs     atomic.Uint64 // transport errors and other statuses
 	retries  atomic.Uint64 // extra attempts spent on 429/503 backoff
+	// abandoned counts requests the end of the run cut short, in flight or
+	// in a retry backoff: they have no outcome, so they are neither ok,
+	// shed nor errors (and not an SLO miss).
+	abandoned atomic.Uint64
 
-	writes   atomic.Uint64 // POST /v1/edges requests, any outcome
+	writes   atomic.Uint64 // POST /v1/edges requests with an outcome
 	writeOK  atomic.Uint64 // accepted edit batches (HTTP 200)
 	edits    atomic.Uint64 // edge edits accepted (writeOK × batch size)
 	writeLat *obs.Histogram
@@ -66,6 +70,12 @@ func (r *report) record(status int, d time.Duration) {
 	}
 }
 
+// recordAbandoned counts one request the end of the run cut short.
+func (r *report) recordAbandoned() {
+	r.requests.Add(1)
+	r.abandoned.Add(1)
+}
+
 // recordWrite classifies one /v1/edges request carrying batch edits.
 // Writes share the request/shed/error totals with queries but keep their
 // own success count and latency sketch, so the summary can report edge
@@ -96,8 +106,9 @@ func (r *report) String() string {
 	}
 	fmt.Fprintf(&b, "requests   %d (%.1f req/s over %s)\n",
 		total, float64(total)/secs, r.elapsed.Round(time.Millisecond))
+	abandoned := r.abandoned.Load()
 	if w := r.writes.Load(); w > 0 {
-		fmt.Fprintf(&b, "queries    %.1f q/s\n", float64(total-w)/secs)
+		fmt.Fprintf(&b, "queries    %.1f q/s\n", float64(total-w-abandoned)/secs)
 		fmt.Fprintf(&b, "writes     %d (ok %d, %.1f edges/s)\n",
 			w, r.writeOK.Load(), float64(r.edits.Load())/secs)
 		if r.writeOK.Load() > 0 {
@@ -117,13 +128,17 @@ func (r *report) String() string {
 	}
 	fmt.Fprintf(&b, "shed (429) %d (%.1f%%)\n", shed, rate)
 	fmt.Fprintf(&b, "errors     %d\n", r.errs.Load())
+	if abandoned > 0 {
+		fmt.Fprintf(&b, "abandoned  %d (cut short by the end of the run)\n", abandoned)
+	}
 	if drop := r.dropped.Load(); drop > 0 {
 		fmt.Fprintf(&b, "dropped    %d (client inflight cap; raise -max-inflight)\n", drop)
 	}
 	if r.slo > 0 {
 		// Every query arrival counts: shed, errored, and dropped arrivals
-		// all missed the SLO. Goodput is SLO-meeting answers per second.
-		offered := total - r.writes.Load() + r.dropped.Load()
+		// all missed the SLO; only arrivals the end of the run cut short
+		// are left out. Goodput is SLO-meeting answers per second.
+		offered := total - r.writes.Load() - abandoned + r.dropped.Load()
 		att := 0.0
 		if offered > 0 {
 			att = 100 * float64(r.sloOK.Load()) / float64(offered)

@@ -167,7 +167,7 @@ func TestRunLoadAgainstStub(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no requests issued")
 	}
-	if rep.ok.Load()+rep.shed.Load()+rep.errs.Load() != total {
+	if rep.ok.Load()+rep.shed.Load()+rep.errs.Load()+rep.abandoned.Load() != total {
 		t.Fatalf("counts don't add up: %s", rep)
 	}
 	if rep.shed.Load() == 0 {
@@ -180,7 +180,9 @@ func TestRunLoadAgainstStub(t *testing.T) {
 
 // TestRunLoadRetriesShedRequests flips the stub between 429 and 200 so
 // every shed answer succeeds on its first retry: with retries enabled the
-// report should show successes and a retry count but no shed outcomes.
+// report should show successes and a retry count but no shed outcomes. A
+// request the end of the run catches in its retry backoff is abandoned,
+// not shed, and every request has exactly one classification.
 func TestRunLoadRetriesShedRequests(t *testing.T) {
 	var hits atomic.Uint64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -205,6 +207,9 @@ func TestRunLoadRetriesShedRequests(t *testing.T) {
 	}
 	if rep.shed.Load() != 0 {
 		t.Fatalf("shed outcomes recorded despite retries: %s", rep)
+	}
+	if got := rep.ok.Load() + rep.shed.Load() + rep.errs.Load() + rep.abandoned.Load(); got != rep.requests.Load() {
+		t.Fatalf("ok+shed+errors+abandoned=%d, requests=%d: %s", got, rep.requests.Load(), rep)
 	}
 	if rep.retries.Load() == 0 {
 		t.Fatalf("no retries counted: %s", rep)

@@ -70,13 +70,6 @@ type EngineOptions struct {
 	// deterministic per (seed, effective walk workers), so changing this
 	// knob changes which deterministic estimate is produced.
 	WalkWorkers int
-	// PushWorkers parallelizes each query's two forward-push phases with
-	// the round-synchronous frontier engine (see core.Solver.PushWorkers).
-	// Unlike WalkWorkers it is opt-in: ≤ 0 keeps the classic sequential
-	// drain. Positive values are clamped to GOMAXPROCS/Workers, like
-	// WalkWorkers. Results are deterministic per effective push-worker
-	// count.
-	PushWorkers int
 	// Relabel renumbers each served graph snapshot in decreasing
 	// total-degree order at load/swap time (graph.RelabelByDegree), which
 	// improves push and walk cache locality on skewed graphs. The
@@ -176,7 +169,6 @@ type Engine struct {
 	// EngineOptions.WalkWorkers).
 	wsPool      *ws.Pool
 	walkWorkers int
-	pushWorkers int
 	denseSwitch float64
 	relabel     bool
 	aliasWalks  bool
@@ -184,11 +176,6 @@ type Engine struct {
 	// hot is the traffic-adaptive walk-endpoint tier (nil when disabled —
 	// see EngineOptions.HotMemBytes).
 	hot *hotTier
-
-	// syncMu serialises SyncDynamic snapshot/swap pairs; dynVer is the
-	// last Dynamic.Version applied.
-	syncMu sync.Mutex
-	dynVer uint64
 }
 
 // engineEntry is one cached answer; exactly one field group is set
@@ -330,14 +317,6 @@ func NewEngine(g *Graph, p Params, opts EngineOptions) *Engine {
 	if e.walkWorkers <= 0 || e.walkWorkers > budget {
 		e.walkWorkers = budget
 	}
-	// Push parallelism is opt-in (0 = sequential drain), but never above
-	// the same per-query budget.
-	if opts.PushWorkers > 0 {
-		e.pushWorkers = opts.PushWorkers
-		if e.pushWorkers > budget {
-			e.pushWorkers = budget
-		}
-	}
 	e.snap.Store(e.newSnapshot(g, 0, nil))
 	e.wsPool.Refit(g.N())
 	e.monitor = pressure.NewMonitor(pressure.MonitorConfig{})
@@ -407,8 +386,7 @@ func (e *Engine) pin() *live.Snapshot {
 // workspace pool plus its resolved walk parallelism.
 func (e *Engine) solver() core.Solver {
 	return core.Solver{
-		Workers: e.walkWorkers, PushWorkers: e.pushWorkers,
-		DenseSwitch: e.denseSwitch, Pool: e.wsPool,
+		Workers: e.walkWorkers, DenseSwitch: e.denseSwitch, Pool: e.wsPool,
 	}
 }
 
@@ -439,10 +417,6 @@ func (e *Engine) RetryAfter() time.Duration { return e.inner.RetryAfter() }
 
 // WalkWorkers returns the resolved per-query remedy walk parallelism.
 func (e *Engine) WalkWorkers() int { return e.walkWorkers }
-
-// PushWorkers returns the resolved per-query push-phase parallelism
-// (0 = sequential drain).
-func (e *Engine) PushWorkers() int { return e.pushWorkers }
 
 // Close stops the engine's worker pool after draining admitted work, and
 // the hot tier's background warmer when one is running. Queries after
@@ -813,67 +787,6 @@ func (e *Engine) Invalidate() {
 		e.hot.store.Purge(e.snap.Load().Epoch())
 	}
 	e.wsPool.Invalidate()
-}
-
-// SyncDynamic is the invalidation hook for dynamic graphs: if d has been
-// edited since the last sync (per Dynamic.Version), it materialises a
-// fresh snapshot, swaps it in and invalidates the affected cache entries.
-// It reports whether a swap happened.
-//
-// Invalidation is scoped, not a purge, when the lineage allows it: d's
-// cumulative edits describe the delta from d.Base(), so only while the
-// engine is still serving that exact graph can they identify which cached
-// answers moved. In that case edits that netted out to nothing (add then
-// remove) swap nothing and keep the whole cache, and otherwise only
-// entries whose source lies in the delta-affected region are dropped, with
-// a full purge as fallback when scoping aborts (see live.AffectedSources)
-// or the node set changed. Once the served graph is no longer d's base —
-// after a previous sync of the same session, or when d was built over an
-// unrelated graph — the delta says nothing about the served graph, so
-// SyncDynamic always materialises, swaps and fully purges. (The streaming
-// path re-bases its edit session on every swap and never loses scoping
-// this way.)
-//
-// Deprecated: SyncDynamic serialises the caller's edits against its own
-// sync cadence and rebuilds from whatever Dynamic it is handed. New code
-// should attach a streaming write path with Engine.StartLive, which owns
-// batching, bounded staleness and concurrent writers.
-func (e *Engine) SyncDynamic(d *DynamicGraph) (bool, error) {
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
-	v := d.Version()
-	if v == e.dynVer {
-		return false, nil
-	}
-	adds, removes := d.PendingEdits()
-	old := e.Graph()
-	sameBase := old == d.Base()
-	if adds+removes == 0 && d.N() == old.N() && sameBase {
-		// Edits netted out (e.g. add then remove of the same edge) against
-		// the very graph being served: the current snapshot already IS the
-		// edited graph, so swapping or invalidating anything would only
-		// shed warm cache for nothing. Without the base match this
-		// conclusion is unsound — after a prior sync the engine serves an
-		// intermediate snapshot, and a session whose edits net to zero
-		// still means "back to the base", which that snapshot is not.
-		e.dynVer = v
-		return false, nil
-	}
-	added, removed := d.Edits()
-	snap, err := d.Snapshot()
-	if err != nil {
-		return false, err
-	}
-	var affected map[int32]struct{}
-	ok := false
-	if sameBase && snap.N() == old.N() {
-		// Node-set changes and foreign lineages always purge; edge-only
-		// deltas over the graph we are serving get scoped.
-		affected, ok = live.AffectedSources(old, live.ChangedSources(added, removed), e.affectConfig())
-	}
-	e.applyLiveSwap(snap, affected, !ok, nil)
-	e.dynVer = v
-	return true, nil
 }
 
 // EngineStats is a point-in-time snapshot of the serving counters, for

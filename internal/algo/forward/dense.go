@@ -5,16 +5,16 @@ import (
 	"resacc/internal/graph"
 )
 
-// drainDense is drainPooled with the adaptive dense-sweep escalation of
-// PushConfig.DenseMass: it tracks the queue's pending out-edge mass
-// incrementally (exactly as drainAdaptive does for the parallel engine) and,
-// when that mass reaches denseMass, stops chasing the frontier through the
-// queue — at that density the queue's per-edge bookkeeping and scattered
-// access order lose to plain CSR-ordered sweeps. Escalation flushes the
-// queue, marks the whole range dirty once (a sweep may write any slot), and
-// runs powerpush.Sweep with the same eligibility data (restrict/skip) until
-// a round's pushed mass falls back under denseMass; the surviving
-// above-threshold nodes are collected into the queue and the loop resumes.
+// drainDense is drainPooled with the adaptive dense-sweep escalation armed
+// by RunFromCtx's denseMass: it tracks the queue's pending out-edge mass
+// incrementally and, when that mass reaches denseMass, stops chasing the
+// frontier through the queue — at that density the queue's per-edge
+// bookkeeping and scattered access order lose to plain CSR-ordered sweeps.
+// Escalation flushes the queue, marks the whole range dirty once (a sweep
+// may write any slot), and runs powerpush.Sweep with the same eligibility
+// data (restrict/skip) until a round's pushed mass falls back under
+// denseMass; the surviving above-threshold nodes are collected into the
+// queue and the loop resumes.
 // If the survivors' mass is still over the bar (a sweep exits on its *last
 // round's* mass, which does not bound the frontier it leaves), the loop just
 // escalates again.
@@ -121,4 +121,13 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 	st.Pushes += pushes
 	st.queue = st.queue[:0]
 	return false
+}
+
+// cost is a node's push-cost proxy: its out-edge count, floored at 1 so
+// dead ends still count as work.
+func cost(g *graph.Graph, v int32) int {
+	if d := g.OutDegree(v); d > 0 {
+		return d
+	}
+	return 1
 }

@@ -24,15 +24,9 @@ type State struct {
 	// workspace) set it to the workspace's dirty set so reset stays sparse.
 	Track *ws.Marks
 
-	// Rounds and MaxFrontier are telemetry from the round-synchronous
-	// parallel drain (see RunFromPar): rounds executed and the largest
-	// frontier snapshot. Both stay zero when the sequential drain handled
-	// the whole search.
-	Rounds      int64
-	MaxFrontier int
 	// Sweeps counts whole-range dense-sweep rounds run by the powerpush
-	// backend (see PushConfig.DenseMass); zero when the drain stayed on the
-	// queue.
+	// backend (see RunFromCtx's denseMass); zero when the drain stayed on
+	// the queue.
 	Sweeps int64
 
 	inQueue []bool
@@ -146,16 +140,29 @@ func Run(g *graph.Graph, alpha, rmax float64, st *State) {
 // scan. Seeds that do not satisfy the condition are pushed anyway when
 // force is true (Algorithm 4 pushes every initially enqueued node).
 func RunFrom(g *graph.Graph, alpha, rmax float64, st *State, seeds []int32, force bool) {
-	RunFromCtx(g, alpha, rmax, st, seeds, force, nil)
+	RunFromCtx(g, alpha, rmax, st, seeds, force, nil, 0)
 }
 
-// RunFromCtx is RunFrom with cooperative cancellation: when done (a query
-// context's Done channel) fires, the drain stops at the next amortized
-// check and RunFromCtx reports true. Every push preserves the forward-push
-// invariant, so the interrupted state is a valid underestimate whose error
-// is bounded by the remaining residue sum. A nil done is free.
-func RunFromCtx(g *graph.Graph, alpha, rmax float64, st *State, seeds []int32, force bool, done <-chan struct{}) (aborted bool) {
+// RunFromCtx is RunFrom with cooperative cancellation and the dense-sweep
+// backend. When done (a query context's Done channel) fires, the drain
+// stops at the next amortized check and RunFromCtx reports true. Every push
+// preserves the forward-push invariant, so the interrupted state is a valid
+// underestimate whose error is bounded by the remaining residue sum. A nil
+// done is free.
+//
+// denseMass, when > 0, arms the dense-sweep backend on the pooled drain
+// (Track and UseScratch both set): once the queue's pending out-edge mass
+// reaches denseMass, the drain flushes its queue and hands the state to
+// powerpush.Sweep — CSR-ordered whole-range rounds with ~3 memory touches
+// per edge instead of the queue's ~6 — until a round's pushed mass falls
+// back below denseMass, then collects the surviving above-threshold nodes
+// and resumes queue draining. Searches that never cross the threshold are
+// bit-identical to the plain drain.
+func RunFromCtx(g *graph.Graph, alpha, rmax float64, st *State, seeds []int32, force bool, done <-chan struct{}, denseMass int) (aborted bool) {
 	st.seed(g, rmax, seeds, force)
+	if denseMass > 0 && st.Track != nil && st.queueMarks != nil {
+		return st.drainDense(g, alpha, rmax, done, denseMass)
+	}
 	return st.drain(g, alpha, rmax, done)
 }
 
@@ -200,23 +207,18 @@ func (st *State) queued(v int32) bool {
 	return st.inQueue[v]
 }
 
-// enqueue adds v to the work queue (deduplicated) and reports whether it
-// was newly added, which the adaptive drain uses to keep its pending
-// out-edge-mass estimate incremental.
-func (st *State) enqueue(v int32) bool {
+// enqueue adds v to the work queue (deduplicated).
+func (st *State) enqueue(v int32) {
 	if st.queueMarks != nil {
 		if st.queueMarks.Mark(v) {
 			st.queue = append(st.queue, v)
-			return true
 		}
-		return false
+		return
 	}
 	if !st.inQueue[v] {
 		st.inQueue[v] = true
 		st.queue = append(st.queue, v)
-		return true
 	}
-	return false
 }
 
 func (st *State) dequeued(v int32) {
@@ -271,8 +273,9 @@ func (st *State) drain(g *graph.Graph, alpha, rmax float64, done <-chan struct{}
 // of pushes — and therefore every reserve/residue value — is bit-identical
 // either way; what moves is the cost, from one restriction stamp load per
 // edge of the hottest loop to one check per (much rarer) dequeue. Any
-// behavioural change here must keep drainGeneric and drainAdaptive's
-// sequential prefix bit-identical in push order and float summation order.
+// behavioural change here must keep drainGeneric and drainDense's
+// below-threshold path bit-identical in push order and float summation
+// order.
 func (st *State) drainPooled(g *graph.Graph, alpha, rmax float64, done <-chan struct{}) (aborted bool) {
 	track, qm := st.Track, st.queueMarks
 	restrict, skip, hasSkip := st.restrict, st.skip, st.hasSkip

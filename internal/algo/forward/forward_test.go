@@ -9,6 +9,7 @@ import (
 	"resacc/internal/algo/power"
 	"resacc/internal/graph"
 	"resacc/internal/graph/gen"
+	"resacc/internal/ws"
 )
 
 func TestFigure1Trace(t *testing.T) {
@@ -167,5 +168,29 @@ func TestDeadEndPushConvertsAll(t *testing.T) {
 	}
 	if st.Residue[0]+st.Residue[1] != 0 {
 		t.Fatalf("residues should be zero: %v", st.Residue)
+	}
+}
+
+// TestSparseResidueSumMatchesDense: with Track set ResidueSum must agree
+// with the dense scan (satellite: O(dirty) instead of O(n)).
+func TestSparseResidueSumMatchesDense(t *testing.T) {
+	g := gen.ErdosRenyi(400, 2000, 21)
+	n := g.N()
+	st := &State{Reserve: make([]float64, n), Residue: make([]float64, n)}
+	var track, inQueue ws.Marks
+	track.Grow(n)
+	inQueue.Grow(n)
+	st.Track = &track
+	st.UseScratch(&inQueue, nil)
+	st.Residue[0] = 1
+	track.Mark(0)
+	RunFromCtx(g, 0.2, 1e-4, st, []int32{0}, false, nil, 0)
+	sparse := st.ResidueSum()
+	dense := 0.0
+	for _, r := range st.Residue {
+		dense += r
+	}
+	if math.Abs(sparse-dense) > 1e-12 {
+		t.Fatalf("sparse ResidueSum=%v, dense=%v", sparse, dense)
 	}
 }

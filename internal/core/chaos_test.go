@@ -111,6 +111,45 @@ func TestChaosWalkWorkerPanicContained(t *testing.T) {
 	}
 }
 
+// TestChaosPushPhasePanicContained injects a panic between the two push
+// phases, after h-HopFWD has dirtied the workspace: the query must fail
+// with a contained *crash.PanicError, return no scores, and the next query
+// on the same solver (and pool) must be bit-identical to a pre-fault
+// reference — the half-written workspace was discarded, not pooled.
+func TestChaosPushPhasePanicContained(t *testing.T) {
+	defer faultinject.Reset()
+	g := gen.BarabasiAlbert(400, 4, 17)
+	p := algo.DefaultParams(g)
+	p.Seed = 3
+	s := Solver{}
+
+	want, _, err := s.Query(g, 0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faultinject.Set("core.omfwd.start", func() { panic("chaos: push phase down") })
+	scores, _, err := s.QueryCtx(context.Background(), g, 0, p)
+	var pe *crash.PanicError
+	if err == nil || !asPanic(err, &pe) {
+		t.Fatalf("err=%v, want a contained *crash.PanicError", err)
+	}
+	if scores != nil {
+		t.Fatal("panicked query returned scores")
+	}
+
+	faultinject.Reset()
+	got, _, err := s.Query(g, 0, p)
+	if err != nil {
+		t.Fatalf("query after contained panic: %v", err)
+	}
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("post-panic scores[%d]=%v differ from pre-panic %v", v, got[v], want[v])
+		}
+	}
+}
+
 func asPanic(err error, pe **crash.PanicError) bool {
 	for err != nil {
 		if p, ok := err.(*crash.PanicError); ok {

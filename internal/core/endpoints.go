@@ -45,19 +45,19 @@ func (s Solver) BuildEndpointSet(g *graph.Graph, src int32, p algo.Params, boost
 	// Same phase-1/2 dispatch as QueryWSCtx, minus the per-phase stats and
 	// cancellation: builds run on the warmer's own goroutine with no client
 	// deadline attached.
-	pc := s.pushConfig(g)
+	denseMass := s.denseMass(g)
 	var hop hopInfo
 	switch s.Variant {
 	case NoLoop:
-		hop = runRestrictedForward(g, src, p.Alpha, p.RMaxHop, p.H, w, pc, nil)
+		hop = runRestrictedForward(g, src, p.Alpha, p.RMaxHop, p.H, w, denseMass, nil)
 	case NoSubgraph:
-		hop = runHHopFWD(g, src, p.Alpha, p.RMaxHop, p.H, true, w, pc, nil)
+		hop = runHHopFWD(g, src, p.Alpha, p.RMaxHop, p.H, true, w, denseMass, nil)
 	default:
-		hop = runHHopFWD(g, src, p.Alpha, p.RMaxHop, p.H, false, w, pc, nil)
+		hop = runHHopFWD(g, src, p.Alpha, p.RMaxHop, p.H, false, w, denseMass, nil)
 	}
 	pushes := hop.pushes
 	if s.Variant != NoOMFWD && s.Variant != NoSubgraph {
-		om := runOMFWD(g, p.Alpha, p.RMaxF, w, hop.frontier, pc, nil)
+		om := runOMFWD(g, p.Alpha, p.RMaxF, w, hop.frontier, denseMass, nil)
 		pushes += om.pushes
 	}
 	algo.AddPushes(pushes)

@@ -22,11 +22,6 @@ type hopInfo struct {
 	subSize int
 
 	pushes int64
-	// rounds and maxFrontier are the parallel drain's telemetry: rounds
-	// executed and largest frontier snapshot (both zero when the
-	// sequential drain handled the phase).
-	rounds      int64
-	maxFrontier int
 	// sweeps counts the dense backend's whole-range rounds (zero when the
 	// drain stayed on the queue).
 	sweeps int64
@@ -81,7 +76,7 @@ func pollDone(done <-chan struct{}, iter int) bool {
 // when it fires, skipping the updating phase — the geometric rescaling is
 // only valid at quiescence, while the raw reserve/residue state is valid
 // at every push boundary.
-func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeGraph bool, w *ws.Workspace, pc forward.PushConfig, done <-chan struct{}) hopInfo {
+func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeGraph bool, w *ws.Workspace, denseMass int, done <-chan struct{}) hopInfo {
 	n := g.N()
 	w.Reset(n)
 	info := hopInfo{t: 1, s: 1}
@@ -123,9 +118,9 @@ func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeG
 		w.AddResidue(nb, share)
 	}
 	// Lines 3-7: push at subgraph nodes (never at s) until quiescent. The
-	// cascade runs on the forward engine — sequentially, or round-parallel
-	// past the engagement threshold when pc.Workers > 1 — restricted to
-	// the subgraph members minus the source.
+	// cascade runs on the forward engine — the queue drain, escalating to
+	// dense sweeps past denseMass — restricted to the subgraph members
+	// minus the source.
 	var st forward.State
 	st.Reserve, st.Residue = w.Reserve, w.Residue
 	st.Track = &w.Dirty
@@ -135,10 +130,9 @@ func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeG
 		st.RestrictTo(&w.InSub, src)
 	}
 	st.UseScratch(&w.InQueue, w.Queue)
-	info.aborted = forward.RunFromPar(g, alpha, rmaxHop, &st, g.Out(src), false, done, pc)
+	info.aborted = forward.RunFromCtx(g, alpha, rmaxHop, &st, g.Out(src), false, done, denseMass)
 	w.Queue = st.TakeQueue()
 	info.pushes += st.Pushes
-	info.rounds, info.maxFrontier = st.Rounds, st.MaxFrontier
 	info.sweeps = st.Sweeps
 	if info.aborted {
 		// The updating phase's geometric rescaling models T further
@@ -196,7 +190,7 @@ func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeG
 // search with threshold rmaxHop restricted to the h-hop subgraph, with the
 // source pushing repeatedly like any other node (the looping phenomenon of
 // §IV-A is incurred in full).
-func runRestrictedForward(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, w *ws.Workspace, pc forward.PushConfig, done <-chan struct{}) hopInfo {
+func runRestrictedForward(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, w *ws.Workspace, denseMass int, done <-chan struct{}) hopInfo {
 	n := g.N()
 	w.Reset(n)
 	info := hopInfo{t: 0, s: 1}
@@ -223,10 +217,9 @@ func runRestrictedForward(g *graph.Graph, src int32, alpha, rmaxHop float64, h i
 	st.Track = &w.Dirty
 	st.RestrictTo(&w.InSub, -1)
 	st.UseScratch(&w.InQueue, w.Queue)
-	info.aborted = forward.RunFromPar(g, alpha, rmaxHop, &st, w.Seeds, false, done, pc)
+	info.aborted = forward.RunFromCtx(g, alpha, rmaxHop, &st, w.Seeds, false, done, denseMass)
 	w.Queue = st.TakeQueue()
 	info.pushes = st.Pushes
-	info.rounds, info.maxFrontier = st.Rounds, st.MaxFrontier
 	info.sweeps = st.Sweeps
 	info.r1 = w.Residue[src]
 	return info

@@ -9,31 +9,28 @@ import (
 	"resacc/internal/ws"
 )
 
-// omInfo summarises the OMFWD phase: push count, the parallel drain's
-// round telemetry, the post-phase residue sum (computed sparsely over the
-// workspace's dirty set), and whether the done channel aborted the cascade
-// mid-drain (the workspace then holds a valid intermediate state; see
-// hopInfo.aborted).
+// omInfo summarises the OMFWD phase: push count, dense-sweep rounds, the
+// post-phase residue sum (computed sparsely over the workspace's dirty
+// set), and whether the done channel aborted the cascade mid-drain (the
+// workspace then holds a valid intermediate state; see hopInfo.aborted).
 type omInfo struct {
-	pushes      int64
-	rounds      int64
-	maxFrontier int
-	sweeps      int64
-	rsum        float64
-	aborted     bool
+	pushes  int64
+	sweeps  int64
+	rsum    float64
+	aborted bool
 }
 
 // runOMFWD executes the One-More Forward search (paper Algorithm 4): the
 // frontier nodes L_{(h+1)-hop}(s), whose residues were deliberately left to
 // accumulate during h-HopFWD, are pushed in decreasing order of residue,
 // and the push cascade then proceeds anywhere in the graph under the
-// (larger) threshold r_max^f. With pc.Workers > 1 the cascade escalates to
-// the round-synchronous parallel drain past the engagement threshold.
+// (larger) threshold r_max^f. The cascade escalates to dense sweeps past
+// denseMass.
 //
 // The search runs entirely on the workspace: reserve/residue writes are
 // tracked in w.Dirty and the queue bookkeeping borrows w.InQueue/w.Queue,
 // so the phase allocates nothing in steady state.
-func runOMFWD(g *graph.Graph, alpha, rmaxF float64, w *ws.Workspace, frontier []int32, pc forward.PushConfig, done <-chan struct{}) omInfo {
+func runOMFWD(g *graph.Graph, alpha, rmaxF float64, w *ws.Workspace, frontier []int32, denseMass int, done <-chan struct{}) omInfo {
 	faultinject.Hit("core.omfwd.start")
 	w.Seeds = w.Seeds[:0]
 	for _, v := range frontier {
@@ -60,14 +57,12 @@ func runOMFWD(g *graph.Graph, alpha, rmaxF float64, w *ws.Workspace, frontier []
 	st.Reserve, st.Residue = w.Reserve, w.Residue
 	st.Track = &w.Dirty
 	st.UseScratch(&w.InQueue, w.Queue)
-	aborted := forward.RunFromPar(g, alpha, rmaxF, &st, w.Seeds, true, done, pc)
+	aborted := forward.RunFromCtx(g, alpha, rmaxF, &st, w.Seeds, true, done, denseMass)
 	w.Queue = st.TakeQueue()
 	return omInfo{
-		pushes:      st.Pushes,
-		rounds:      st.Rounds,
-		maxFrontier: st.MaxFrontier,
-		sweeps:      st.Sweeps,
-		rsum:        st.ResidueSum(),
-		aborted:     aborted,
+		pushes:  st.Pushes,
+		sweeps:  st.Sweeps,
+		rsum:    st.ResidueSum(),
+		aborted: aborted,
 	}
 }

@@ -58,13 +58,6 @@ func NewDynamic(g *Graph) *Dynamic {
 // N returns the current node count (base nodes plus added ones).
 func (d *Dynamic) N() int { return d.n }
 
-// Base returns the immutable graph this edit session started from. Edits,
-// PendingEdits and Snapshot are all relative to it: serving layers compare
-// Base against the graph they are currently serving to decide whether the
-// session's cumulative delta describes that graph (scoped invalidation is
-// sound) or some other lineage (only a full rebuild+purge is).
-func (d *Dynamic) Base() *Graph { return d.base }
-
 // PendingEdits returns the number of recorded insertions and deletions.
 func (d *Dynamic) PendingEdits() (adds, removes int) {
 	return len(d.added), len(d.removed)

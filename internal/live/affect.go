@@ -3,8 +3,8 @@ package live
 import "resacc/internal/graph"
 
 // AffectConfig tunes the delta-affected-region expansion of a snapshot
-// swap. The zero value is completed by its user (Manager or the engine's
-// SyncDynamic shim) with the serving parameters.
+// swap. The zero value is completed by its user (the Manager) with the
+// serving parameters.
 type AffectConfig struct {
 	// Alpha is the restart probability of the served queries.
 	Alpha float64

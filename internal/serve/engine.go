@@ -96,8 +96,8 @@ type Engine[V any] struct {
 
 // PerQueryBudget returns the intra-query parallelism budget left per
 // serving worker: GOMAXPROCS divided by the concurrent-computation count,
-// floored at 1. The facade clamps both walk and push parallelism with it
-// so serveWorkers concurrent queries never oversubscribe the machine.
+// floored at 1. The facade clamps per-query walk parallelism with it so
+// serveWorkers concurrent queries never oversubscribe the machine.
 func PerQueryBudget(serveWorkers int) int {
 	if serveWorkers <= 0 {
 		serveWorkers = runtime.GOMAXPROCS(0)

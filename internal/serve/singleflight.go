@@ -69,7 +69,7 @@ func (g *flightGroup[V]) do(ctx context.Context, key Key,
 	if c, ok := g.calls[key]; ok {
 		c.waiters++
 		g.mu.Unlock()
-		return g.wait(ctx, c, true)
+		return g.wait(ctx, key, c, true)
 	}
 	c := &flightCall[V]{done: make(chan struct{}), waiters: 1}
 	var fctx context.Context
@@ -87,17 +87,19 @@ func (g *flightGroup[V]) do(ctx context.Context, key Key,
 		g.mu.Lock()
 		c.val, c.err = v, err
 		c.finished = true
-		delete(g.calls, key)
+		if g.calls[key] == c {
+			delete(g.calls, key)
+		}
 		g.mu.Unlock()
 		// Release the deadline timer; the computation is done, so the
 		// cancellation signal itself is moot.
 		c.cancel()
 		close(c.done)
 	})
-	return g.wait(ctx, c, false)
+	return g.wait(ctx, key, c, false)
 }
 
-func (g *flightGroup[V]) wait(ctx context.Context, c *flightCall[V], joined bool) (V, bool, error) {
+func (g *flightGroup[V]) wait(ctx context.Context, key Key, c *flightCall[V], joined bool) (V, bool, error) {
 	select {
 	case <-c.done:
 		return c.val, joined, c.err
@@ -105,12 +107,17 @@ func (g *flightGroup[V]) wait(ctx context.Context, c *flightCall[V], joined bool
 		g.mu.Lock()
 		c.waiters--
 		abandon := c.waiters == 0 && !c.finished
+		if abandon && g.calls[key] == c {
+			// Unmap the flight before cancelling it: a caller arriving
+			// after this point starts a fresh computation instead of
+			// joining one that is already winding down.
+			delete(g.calls, key)
+		}
 		g.mu.Unlock()
 		if abandon {
 			// Nobody is listening any more: cancel the flight so the
 			// computation winds down at its next check instead of holding
-			// a worker slot. (A caller that joins in the gap between this
-			// cancel and finish shares the degraded result — accepted.)
+			// a worker slot.
 			c.cancel()
 		}
 		var zero V

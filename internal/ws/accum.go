@@ -5,9 +5,7 @@ import "sync"
 // Accum is a per-worker delta accumulator: a dense value vector plus a
 // touched-list so zeroing on release and merging are O(touched), never
 // O(n). The parallel remedy phase accumulates walk credits in one per
-// worker; the parallel push engine accumulates residue deltas the same
-// way. Both borrow from the shared pool below, so a process running both
-// recycles one set of vectors.
+// worker, borrowed from the pool below.
 //
 // An Accum is owned by exactly one goroutine between GetAccum and the
 // merge that reads it; Marks is not safe for concurrent use.

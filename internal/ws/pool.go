@@ -13,7 +13,7 @@ import (
 //     query against a huge graph does not pin huge scratch vectors for a
 //     workload that moved to small graphs.
 //   - Epoch keying: Invalidate bumps the pool epoch and Get drops
-//     workspaces issued under older epochs. Engine.SyncDynamic calls it
+//     workspaces issued under older epochs. Engine.UpdateGraph calls it
 //     alongside its result-cache purge so a graph swap retires scratch
 //     sized for the old snapshot together with the stale results.
 //

@@ -75,7 +75,7 @@ type Live struct {
 
 // StartLive attaches a streaming write path serving edits on top of the
 // engine's current graph. While it is attached, all mutation must go
-// through it: calling UpdateGraph/SyncDynamic concurrently would race the
+// through it: calling UpdateGraph concurrently would race the
 // write path's view of the served graph. Close the Live to detach.
 func (e *Engine) StartLive(opts LiveOptions) (*Live, error) {
 	if !e.liveOn.CompareAndSwap(false, true) {

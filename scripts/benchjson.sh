@@ -24,15 +24,14 @@
 # separate pass with a real iteration
 # count; at -benchtime 10x they time the harness, not the walk. Rows listed in
 # scripts/bench_allowlist.txt are reported but never fail the job; rows
-# present on only one side (new benchmark, or skipped on this machine —
-# BenchmarkPushParallel skips worker counts above GOMAXPROCS) are ignored.
+# present on only one side (new or skipped benchmark) are ignored.
 # Set BENCH_GATE=off when intentionally re-baselining the committed file.
 #
 # Usage: scripts/benchjson.sh [output.json]
 set -eu
 cd "$(dirname "$0")/.."
 out=${1:-BENCH_resacc.json}
-filter='^BenchmarkQueryTable3/(dblp-s|webstan-s)/(resacc|fora)$|^BenchmarkForwardPush$|^BenchmarkHHopFWDPhase(NoSweep)?$|^BenchmarkQueryPooledRepeat(Alias)?$|^BenchmarkPushParallel/workers=(1|2|4|8)$|^BenchmarkLiveWriteMix/(scoped|purge)$'
+filter='^BenchmarkQueryTable3/(dblp-s|webstan-s)/(resacc|fora)$|^BenchmarkForwardPush$|^BenchmarkHHopFWDPhase(NoSweep)?$|^BenchmarkQueryPooledRepeat(Alias)?$|^BenchmarkPushRMAT17$|^BenchmarkLiveWriteMix/(scoped|purge)$'
 microfilter='^BenchmarkRandomWalk(Alias)?$'
 # The Zipf pair row feeds a ratio gate and needs enough iterations to
 # cycle the 16-source rotation many times; at 10 iterations it only
